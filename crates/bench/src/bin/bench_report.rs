@@ -242,7 +242,7 @@ fn queries16() -> ScenarioReport {
         ..query::EngineConfig::default()
     };
     let ics = golden_ics(192, 42);
-    let (outs, trace) = msg::comm::run_observed(Machine::ideal(18), 16, move |comm| {
+    let (outs, trace) = msg::run_observed(Machine::ideal(18), 16, move |comm| {
         query::run(comm, ics.clone(), &qcfg)
     });
     trace.check_invariants().expect("queries16 invariants");

@@ -26,7 +26,7 @@ use ckpt::{CkptError, Pack};
 use hot::gravity::{Accel, GravityConfig};
 use hot::traverse::group_accelerations;
 use hot::tree::{Body, Tree};
-use msg::{run_with_faults, run_with_faults_observed, Comm, FaultPlan, Machine, WorldOutcome};
+use msg::{Comm, FaultPlan, Machine, Outcome, World};
 use std::sync::Mutex;
 use store::{GenerationLog, RecordKind, StoreConfig};
 
@@ -559,14 +559,13 @@ fn run_treecode_impl(
             let final_bodies = if comm.rank() == 0 { bodies } else { Vec::new() };
             (final_bodies, comm.time(), comm.stats())
         };
-        let (outcome, trace) = if traced {
-            run_with_faults_observed(machine.clone(), nranks, plan, clock0, world)
-        } else {
-            (
-                run_with_faults(machine.clone(), nranks, plan, clock0, world),
-                None,
-            )
-        };
+        let (outcome, trace, _) = World {
+            clock0,
+            faults: Some(plan),
+            observe: traced,
+            ..World::new(machine.clone(), nranks)
+        }
+        .run(world);
         // Commits outlive the attempt that made them.
         if let Some((step, vtime, bytes)) = store.into_inner().unwrap() {
             if step > committed.0 {
@@ -665,7 +664,7 @@ fn run_treecode_impl(
             }
         }
         match outcome {
-            WorldOutcome::Completed(results) => {
+            Outcome::Completed(results) => {
                 report.completed = true;
                 let mut final_bodies = Vec::new();
                 for (bodies, t, stats) in results {
@@ -690,7 +689,7 @@ fn run_treecode_impl(
                 };
                 return (final_bodies, report, trace);
             }
-            WorldOutcome::Crashed { rank, at } => {
+            Outcome::Crashed { rank, at } => {
                 if degraded {
                     // Quorum verdict named the dead rank; only its shard
                     // is re-read and only its node pays the failover
@@ -739,6 +738,7 @@ fn run_treecode_impl(
                     break;
                 }
             }
+            Outcome::Stalled { .. } => unreachable!("an unscheduled world cannot stall"),
         }
     }
     report.completed = false;

@@ -41,11 +41,7 @@ use crate::ics::SplitMix64;
 use hot::gravity::{Accel, GravityConfig};
 use hot::traverse::group_accelerations;
 use hot::tree::{Body, Tree};
-use msg::{
-    replay_with_faults_and_schedule_observed, replay_with_schedule_observed,
-    run_with_faults_and_schedule_observed, run_with_schedule_observed, Abm, Comm, FaultPlan,
-    Machine, SchedOutcome, SchedPlan, ScheduleLog, Termination,
-};
+use msg::{Abm, Comm, FaultPlan, Machine, Outcome, SchedPlan, ScheduleLog, Termination};
 use obs::WorldTrace;
 
 /// Tag bases for the hand-rolled wildcard exchanges (chosen far away from
@@ -531,7 +527,7 @@ fn queries_world(comm: &mut Comm, ics: &[Body], steps: u64) -> QueriesOut {
 /// never after the client timeout — checked on the raw per-rank stats,
 /// flagged even on the reference schedule — then the per-rank content
 /// digests feed the generic cross-schedule oracle.
-fn finish_queries(lists: Vec<QueriesOut>, trace: Option<WorldTrace>) -> WorldResult {
+fn finish_queries(lists: Vec<QueriesOut>) -> (Vec<u64>, Option<String>) {
     let mut errors = Vec::new();
     for (rank, o) in lists.iter().enumerate() {
         let s = &o.stats;
@@ -557,16 +553,8 @@ fn finish_queries(lists: Vec<QueriesOut>, trace: Option<WorldTrace>) -> WorldRes
             ));
         }
     }
-    let delivery_error = if errors.is_empty() {
-        None
-    } else {
-        Some(errors.join("; "))
-    };
-    WorldResult::Done {
-        digests: lists.iter().map(|o| o.digest).collect(),
-        trace: trace.expect("completed scheduled world always yields a trace"),
-        delivery_error,
-    }
+    let delivery_error = (!errors.is_empty()).then(|| errors.join("; "));
+    (lists.iter().map(|o| o.digest).collect(), delivery_error)
 }
 
 /// The ABM storm body: every rank posts `per_rank` identified messages to
@@ -654,105 +642,54 @@ fn run_world(
     // schedule- or fault-driven divergence breaks digest equality).
     let ics = golden_ics(cfg.bodies, 42);
     let per_rank = 12u64;
-    let (outcome, trace, log) = match world {
-        World::Treecode => {
-            let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, None);
-            match replay {
-                None => run_with_schedule_observed(machine, cfg.ranks, splan, body),
-                Some((log, prefix)) => {
-                    replay_with_schedule_observed(machine, cfg.ranks, splan, log, prefix, body)
-                }
-            }
-        }
-        World::Overlap => {
-            let body = |c: &mut Comm| overlap_world(c, &ics, &gcfg);
-            match replay {
-                None => run_with_schedule_observed(machine, cfg.ranks, splan, body),
-                Some((log, prefix)) => {
-                    replay_with_schedule_observed(machine, cfg.ranks, splan, log, prefix, body)
-                }
-            }
-        }
-        World::Chaos => {
-            let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, None);
-            let fp = fplan.as_ref().expect("chaos world has a fault plan");
-            match replay {
-                None => {
-                    run_with_faults_and_schedule_observed(machine, cfg.ranks, fp, splan, 0.0, body)
-                }
-                Some((log, prefix)) => replay_with_faults_and_schedule_observed(
-                    machine, cfg.ranks, fp, splan, 0.0, log, prefix, body,
-                ),
-            }
-        }
-        World::Degraded => {
-            let drag = Some((cfg.ranks - 1, DRAG_S));
-            let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, drag);
-            let fp = fplan.as_ref().expect("degraded world has a fault plan");
-            match replay {
-                None => {
-                    run_with_faults_and_schedule_observed(machine, cfg.ranks, fp, splan, 0.0, body)
-                }
-                Some((log, prefix)) => replay_with_faults_and_schedule_observed(
-                    machine, cfg.ranks, fp, splan, 0.0, log, prefix, body,
-                ),
-            }
-        }
-        World::Queries => {
-            let body = |c: &mut Comm| queries_world(c, &ics, cfg.steps);
-            let (outcome, trace, log) = match replay {
-                None => run_with_schedule_observed(machine, cfg.ranks, splan, body),
-                Some((rlog, prefix)) => {
-                    replay_with_schedule_observed(machine, cfg.ranks, splan, rlog, prefix, body)
-                }
-            };
-            // Like the storm world, completion runs a world-specific
-            // absolute oracle (exactly-once replies) on the raw returns
-            // before collapsing them to digests.
-            let outcome = match outcome {
-                SchedOutcome::Completed(lists) => {
-                    return (finish_queries(lists, trace), log);
-                }
-                SchedOutcome::Crashed { rank, at } => SchedOutcome::Crashed { rank, at },
-                SchedOutcome::Stalled { rank, at, deadlock } => {
-                    SchedOutcome::Stalled { rank, at, deadlock }
-                }
-            };
-            (outcome, trace, log)
-        }
-        World::Storm => {
-            let body = |c: &mut Comm| storm_world(c, per_rank);
-            let fp = fplan.as_ref().expect("storm world has a fault plan");
-            let (outcome, trace, log) = match replay {
-                None => {
-                    run_with_faults_and_schedule_observed(machine, cfg.ranks, fp, splan, 0.0, body)
-                }
-                Some((rlog, prefix)) => replay_with_faults_and_schedule_observed(
-                    machine, cfg.ranks, fp, splan, 0.0, rlog, prefix, body,
-                ),
-            };
-            // Collapse each rank's id list to a digest for uniform
-            // handling; exactly-once is checked separately on the lists.
-            let outcome = match outcome {
-                SchedOutcome::Completed(lists) => {
-                    return (finish_storm(cfg, per_rank, lists, trace), log);
-                }
-                SchedOutcome::Crashed { rank, at } => SchedOutcome::Crashed { rank, at },
-                SchedOutcome::Stalled { rank, at, deadlock } => {
-                    SchedOutcome::Stalled { rank, at, deadlock }
-                }
-            };
-            (outcome, trace, log)
-        }
+    let job = msg::World {
+        faults: fplan.as_ref(),
+        sched: Some((splan, replay)),
+        observe: true,
+        ..msg::World::new(machine, cfg.ranks)
     };
-    let result = match outcome {
-        SchedOutcome::Completed(digests) => WorldResult::Done {
+    let drag = Some((cfg.ranks - 1, DRAG_S));
+    let digests = |d| (d, None);
+    match world {
+        World::Treecode | World::Chaos => settle(
+            job.run(|c| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, None)),
             digests,
-            trace: trace.expect("completed scheduled world always yields a trace"),
-            delivery_error: None,
-        },
-        SchedOutcome::Stalled { rank, at, deadlock } => WorldResult::Stalled { rank, at, deadlock },
-        SchedOutcome::Crashed { rank, at } => WorldResult::Crashed { rank, at },
+        ),
+        World::Degraded => settle(
+            job.run(|c| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, drag)),
+            digests,
+        ),
+        World::Overlap => settle(job.run(|c| overlap_world(c, &ics, &gcfg)), digests),
+        World::Queries => settle(
+            job.run(|c| queries_world(c, &ics, cfg.steps)),
+            finish_queries,
+        ),
+        World::Storm => settle(job.run(|c| storm_world(c, per_rank)), |lists| {
+            finish_storm(cfg, per_rank, lists)
+        }),
+    }
+}
+
+/// Fold a world's run into a [`WorldResult`]. `finish` collapses a
+/// completed world's per-rank returns to digests, running any
+/// world-specific absolute oracle on the raw returns first (its error
+/// becomes the result's `delivery_error`).
+fn settle<T>(
+    (outcome, trace, log): (Outcome<T>, Option<WorldTrace>, ScheduleLog),
+    finish: impl FnOnce(Vec<T>) -> (Vec<u64>, Option<String>),
+) -> (WorldResult, ScheduleLog) {
+    let result = match outcome {
+        Outcome::Completed(returns) => {
+            let (digests, delivery_error) = finish(returns);
+            let trace = trace.expect("completed scheduled world always yields a trace");
+            WorldResult::Done {
+                digests,
+                trace,
+                delivery_error,
+            }
+        }
+        Outcome::Stalled { rank, at, deadlock } => WorldResult::Stalled { rank, at, deadlock },
+        Outcome::Crashed { rank, at } => WorldResult::Crashed { rank, at },
     };
     (result, log)
 }
@@ -764,8 +701,7 @@ fn finish_storm(
     cfg: &SimcheckConfig,
     per_rank: u64,
     lists: Vec<Vec<u64>>,
-    trace: Option<WorldTrace>,
-) -> WorldResult {
+) -> (Vec<u64>, Option<String>) {
     let mut all: Vec<u64> = lists.iter().flatten().copied().collect();
     all.sort_unstable();
     let mut expect: Vec<u64> = (0..cfg.ranks as u64)
@@ -793,11 +729,7 @@ fn finish_storm(
             h
         })
         .collect();
-    WorldResult::Done {
-        digests,
-        trace: trace.expect("completed scheduled world always yields a trace"),
-        delivery_error,
-    }
+    (digests, delivery_error)
 }
 
 /// Run the trace-analysis oracles on one schedule's trace.
@@ -1221,15 +1153,13 @@ mod tests {
                         .with_heartbeat(mutant.clone());
                 let drag = Some((cfg.ranks - 1, DRAG_S));
                 let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, drag);
-                let (outcome, _, _) = run_with_faults_and_schedule_observed(
-                    Machine::ideal(cfg.ranks as u32),
-                    cfg.ranks,
-                    &fplan,
-                    &splan,
-                    0.0,
-                    body,
-                );
-                if matches!(outcome, SchedOutcome::Crashed { .. }) {
+                let job = msg::World {
+                    faults: Some(&fplan),
+                    sched: Some((&splan, None)),
+                    observe: true,
+                    ..msg::World::new(Machine::ideal(cfg.ranks as u32), cfg.ranks)
+                };
+                if matches!(job.run(body).0, Outcome::Crashed { .. }) {
                     caught = true;
                     break;
                 }

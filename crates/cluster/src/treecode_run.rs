@@ -128,12 +128,12 @@ fn measured_run_impl(
         let r = parallel_accelerations(comm, mine, &cfg);
         (r.stats.flops(true), r.vtime)
     };
-    let (results, trace) = if traced {
-        let (results, trace) = msg::run_observed(msg_machine, procs, world);
-        (results, Some(trace))
-    } else {
-        (msg::run_with(msg_machine, procs, world), None)
-    };
+    let (out, trace, _) = msg::World {
+        observe: traced,
+        ..msg::World::new(msg_machine, procs)
+    }
+    .run(world);
+    let results = out.expect_completed("fault-free world");
     let total_flops: f64 = results.iter().map(|(f, _)| f).sum();
     let t = results.iter().map(|(_, t)| *t).fold(0.0, f64::max);
     (total_flops / t / 1e6 / procs as f64, t, trace)

@@ -304,7 +304,7 @@ impl Default for Termination {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::run;
+    use crate::run;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

@@ -271,7 +271,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::run;
+    use crate::run;
 
     #[test]
     fn barrier_completes_at_odd_sizes() {
@@ -424,7 +424,7 @@ mod reference_tests {
     //! power-of-two boundaries (8, 16) where the binomial / dissemination
     //! algorithms change shape — and over *every* root.
 
-    use crate::comm::run;
+    use crate::run;
 
     /// The value rank `r` contributes — distinct per rank so ordering
     /// bugs cannot cancel.
@@ -557,7 +557,7 @@ mod reference_tests {
 
 #[cfg(test)]
 mod prop_tests {
-    use crate::comm::run;
+    use crate::run;
     use proptest::prelude::*;
 
     proptest! {

@@ -1,12 +1,12 @@
-//! The world, ranks, and point-to-point messaging.
+//! Ranks and point-to-point messaging.
 //!
-//! [`run_with`] spawns one thread per rank; each thread gets a [`Comm`]
-//! wired to the shared fabric. Sends are asynchronous (unbounded channels),
-//! receives block with tag/source matching, and every operation advances
-//! the rank's virtual clock per the machine model.
+//! [`crate::World::run`] spawns one thread per rank; each thread gets a
+//! [`Comm`] wired to the shared fabric. Sends are asynchronous (unbounded
+//! channels), receives block with tag/source matching, and every
+//! operation advances the rank's virtual clock per the machine model.
 //!
-//! Worlds started through [`crate::fault::run_with_faults`] additionally
-//! carry a reliable-delivery transport (sequence numbers, cumulative acks,
+//! Worlds run with a [`crate::fault::FaultPlan`] additionally carry a
+//! reliable-delivery transport (sequence numbers, cumulative acks,
 //! timeout/retransmit with exponential backoff) underneath the tag-matched
 //! interface, so application protocols survive the injected packet loss,
 //! corruption, duplication and reordering of a [`crate::fault::FaultPlan`].
@@ -16,14 +16,14 @@
 use crate::fault::{FaultCtx, QuietCrash, RankCrash, WorldAborted};
 use crate::machine::Machine;
 use crate::payload::{AnyPayload, Payload};
-use crate::sched::{SchedCtx, Stall, StallAbort};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use obs::{RankTrace, Recorder, WorldTrace};
+use crate::sched::{SchedCtx, SchedShared, Stall};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use obs::{RankTrace, Recorder};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::panic_any;
 use std::sync::atomic::Ordering;
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Message tag. User tags should stay below [`Tag::MAX`]`/2`; the library
@@ -65,6 +65,10 @@ pub(crate) enum WireKind {
     /// from the peer again (`alive == true`). Same best-effort, no-draw
     /// rules as `Heartbeat`.
     Suspect { peer: u32, alive: bool },
+    /// Teardown notice from the world runner: some rank ended the world
+    /// (a genuine panic, a crash, a stall). A plain rank blocked in
+    /// `recv` has no flag to poll, so this packet is what wakes it.
+    Abort,
 }
 
 pub(crate) struct Packet {
@@ -264,19 +268,17 @@ pub struct Comm {
 }
 
 impl Comm {
-    #[allow(clippy::too_many_arguments)]
+    /// A plain endpoint; the world runner arms `fault` and `sched`.
     pub(crate) fn construct(
         rank: usize,
-        size: usize,
         clock0: f64,
         machine: Machine,
         senders: Vec<Sender<Packet>>,
         rx: Receiver<Packet>,
-        fault: Option<Box<FaultCtx>>,
     ) -> Comm {
         Comm {
             rank,
-            size,
+            size: senders.len(),
             clock: clock0,
             machine,
             senders,
@@ -286,28 +288,54 @@ impl Comm {
             edge_seq: 0,
             stats: CommStats::default(),
             idle_polls: 0,
-            fault,
+            fault: None,
             sched: None,
             obs: None,
             obs_folded: CommStats::default(),
         }
     }
 
-    /// Arm the adversarial delivery scheduler (see `crate::sched`).
-    pub(crate) fn install_sched(&mut self, ctx: Box<SchedCtx>) {
-        assert!(self.sched.is_none(), "scheduler already installed");
-        self.sched = Some(ctx);
-    }
-
-    /// Mark this rank's program as finished for the deadlock detector.
-    /// Fault-mode ranks are accounted by the transport-drain parking
-    /// instead (counting both would double-count this rank).
-    pub(crate) fn sched_retire(&mut self) {
-        if let Some(s) = &self.sched {
-            if self.fault.is_none() {
-                s.shared.retired.fetch_add(1, Ordering::SeqCst);
+    /// Wake every peer for teardown with an abort packet (see
+    /// [`WireKind::Abort`]). A peer that already exited dropped its
+    /// receiver; its send error is moot.
+    pub(crate) fn abort_peers(&self) {
+        for (dst, tx) in self.senders.iter().enumerate() {
+            if dst != self.rank {
+                let _ = tx.send(Packet {
+                    src: self.rank,
+                    tag: 0,
+                    arrival: self.clock,
+                    kind: WireKind::Abort,
+                    corrupt: false,
+                    edge: NO_EDGE,
+                    data: Box::new(()),
+                });
             }
         }
+    }
+
+    /// Move every packet already on the channel into the mailbox: through
+    /// the reliable transport on a fault-mode world (`ctx`, checked out of
+    /// `self.fault`), straight in otherwise.
+    fn pull_pending(&mut self, mut ctx: Option<&mut FaultCtx>) {
+        while let Ok(pkt) = self.rx.try_recv() {
+            self.note_rx_pull();
+            match ctx.as_deref_mut() {
+                Some(ctx) => self.ingest(ctx, pkt),
+                None => self.stash(pkt),
+            }
+        }
+    }
+
+    /// Queue a packet pulled off the channel of a world without the
+    /// reliable transport; the runner's abort packet unwinds this rank
+    /// instead.
+    #[inline]
+    fn stash(&mut self, pkt: Packet) {
+        if pkt.kind == WireKind::Abort {
+            panic_any(WorldAborted);
+        }
+        self.mailbox.push(pkt);
     }
 
     /// Account one packet pulled off this rank's channel (scheduled
@@ -329,12 +357,21 @@ impl Comm {
         }
     }
 
+    /// Count this rank as parked in a blocking channel wait for the
+    /// deadlock detector (scheduled worlds only). The caller unparks on
+    /// wakeup, or through `SchedShared::unpark_after_timeout`.
+    fn park(&self) -> Option<Arc<SchedShared>> {
+        let shared = self.sched.as_ref()?.shared.clone();
+        shared.parked.fetch_add(1, Ordering::SeqCst);
+        Some(shared)
+    }
+
     /// Seeded extra delivery delay in `[0, jitter_s)`; zero (and no RNG
     /// draw) when jitter is off or no scheduler is armed.
     #[inline]
     fn draw_jitter(&mut self) -> f64 {
         match &mut self.sched {
-            Some(s) if s.jitter_s > 0.0 => s.rng_jitter.unit() * s.jitter_s,
+            Some(s) if s.plan.jitter_s > 0.0 => s.rng_jitter.unit() * s.plan.jitter_s,
             _ => 0.0,
         }
     }
@@ -345,9 +382,9 @@ impl Comm {
     fn check_sched(&mut self) {
         let Some(s) = &self.sched else { return };
         if s.shared.stalled.load(Ordering::Relaxed) {
-            panic_any(StallAbort);
+            panic_any(WorldAborted);
         }
-        if self.clock > s.budget_s {
+        if self.clock > s.plan.budget_s {
             s.shared.stalled.store(true, Ordering::SeqCst);
             panic_any(Stall {
                 rank: self.rank,
@@ -572,7 +609,7 @@ impl Comm {
             if ctx.hb.is_some() {
                 // With the failure detector armed the death is silent:
                 // no abort broadcast, the survivors must notice.
-                panic_any(QuietCrash { rank, at: clock });
+                panic_any(QuietCrash(RankCrash { rank, at: clock }));
             }
             ctx.abort.store(true, Ordering::SeqCst);
             panic_any(RankCrash { rank, at: clock });
@@ -623,7 +660,7 @@ impl Comm {
             // hung up on panic; propagate.
             if let Some(s) = &self.sched {
                 if s.shared.stalled.load(Ordering::SeqCst) {
-                    panic_any(StallAbort);
+                    panic_any(WorldAborted);
                 }
             }
             panic!("rank {dst} hung up");
@@ -716,48 +753,40 @@ impl Comm {
         // match waits for the logged source, which removes the one
         // wall-clock race a wildcard receive has — whether a slower
         // source's packet had really arrived when the pick was made).
-        if src.is_none() {
-            if let Some(sched) = self.sched.as_deref_mut() {
-                if let Some(want) = sched.replay_want() {
-                    let idx = self.mailbox.position(|p| p.tag == tag && p.src == want)?;
-                    sched.log_match(want, true);
-                    return Some(self.mailbox.remove(idx));
+        let idx = match self.sched.as_deref_mut().filter(|_| src.is_none()) {
+            Some(sched) if sched.replay.is_some() => {
+                // Forced decisions first; past the prefix, first-match.
+                let want = sched.replay_want();
+                self.mailbox
+                    .position(|p| p.tag == tag && want.is_none_or(|w| p.src == w))?
+            }
+            Some(sched) if sched.perturbed < sched.plan.perturb_limit => {
+                sched.seen.iter_mut().for_each(|s| *s = false);
+                sched.heads.clear();
+                for (i, p) in self.mailbox.iter().enumerate() {
+                    if p.tag == tag && !sched.seen[p.src] {
+                        sched.seen[p.src] = true;
+                        sched.heads.push(i);
+                    }
                 }
-                if sched.replay.is_none() && sched.perturbed < sched.perturb_limit {
-                    sched.seen.iter_mut().for_each(|s| *s = false);
-                    sched.heads.clear();
-                    for (i, p) in self.mailbox.iter().enumerate() {
-                        if p.tag == tag && !sched.seen[p.src] {
-                            sched.seen[p.src] = true;
-                            sched.heads.push(i);
-                        }
+                match sched.heads.len() {
+                    0 => return None,
+                    1 => sched.heads[0],
+                    n => {
+                        // A decision point: one deviation spent even if
+                        // the draw lands on the first match, so
+                        // perturb_limit counts decisions, and shrink
+                        // prefixes are schedule-stable.
+                        sched.perturbed += 1;
+                        sched.heads[(sched.rng_match.next_u64() % n as u64) as usize]
                     }
-                    let idx = match sched.heads.len() {
-                        0 => return None,
-                        1 => sched.heads[0],
-                        n => {
-                            // A decision point: one deviation spent even
-                            // if the draw lands on the first match, so
-                            // perturb_limit counts decisions, and shrink
-                            // prefixes are schedule-stable.
-                            sched.perturbed += 1;
-                            sched.heads[(sched.rng_match.next_u64() % n as u64) as usize]
-                        }
-                    };
-                    let pkt = self.mailbox.remove(idx);
-                    if let Some(s) = self.sched.as_deref_mut() {
-                        s.log_match(pkt.src, false);
-                    }
-                    return Some(pkt);
                 }
             }
-        }
-        let idx = self.mailbox.position(|p| Self::matches(p, src, tag))?;
+            _ => self.mailbox.position(|p| Self::matches(p, src, tag))?,
+        };
         let pkt = self.mailbox.remove(idx);
-        if src.is_none() {
-            if let Some(s) = self.sched.as_deref_mut() {
-                s.log_match(pkt.src, false);
-            }
+        if let Some(sched) = self.sched.as_deref_mut().filter(|_| src.is_none()) {
+            sched.log.push(pkt.src as u32);
         }
         Some(pkt)
     }
@@ -800,7 +829,7 @@ impl Comm {
                 return self.accept(pkt);
             }
             let pkt = self.rx.recv().expect("world disconnected");
-            self.mailbox.push(pkt);
+            self.stash(pkt);
         }
     }
 
@@ -811,41 +840,23 @@ impl Comm {
     fn recv_sched<T: Payload>(&mut self, src: Option<usize>, tag: Tag) -> (usize, T) {
         loop {
             self.check_sched();
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.mailbox.push(pkt);
-            }
+            self.pull_pending(None);
             if let Some(pkt) = self.take_from_mailbox(src, tag) {
                 return self.accept(pkt);
             }
-            let shared = self.sched.as_ref().expect("sched ctx").shared.clone();
-            shared.parked.fetch_add(1, Ordering::SeqCst);
+            let shared = self.park().expect("sched ctx");
             match self.rx.recv_timeout(POLL_WALL) {
                 Ok(pkt) => {
                     shared.parked.fetch_sub(1, Ordering::SeqCst);
                     self.note_rx_pull();
-                    self.mailbox.push(pkt);
+                    self.stash(pkt);
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    // Run the deadlock check while this rank still counts
-                    // as parked, or the all-parked state is unreachable.
                     if shared.stalled.load(Ordering::SeqCst) {
                         shared.parked.fetch_sub(1, Ordering::SeqCst);
-                        panic_any(StallAbort);
+                        panic_any(WorldAborted);
                     }
-                    let everyone_blocked = shared.parked.load(Ordering::SeqCst)
-                        + shared.retired.load(Ordering::SeqCst)
-                        >= shared.size;
-                    if everyone_blocked && shared.inflight.load(Ordering::SeqCst) <= 0 {
-                        shared.stalled.store(true, Ordering::SeqCst);
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                        panic_any(Stall {
-                            rank: self.rank,
-                            at: self.clock,
-                            deadlock: true,
-                        });
-                    }
-                    shared.parked.fetch_sub(1, Ordering::SeqCst);
+                    shared.unpark_after_timeout(self.rank, self.clock);
                 }
                 Err(RecvTimeoutError::Disconnected) => panic!("world disconnected"),
             }
@@ -859,10 +870,7 @@ impl Comm {
             self.check_liveness();
             let mut ctx = self.fault.take().expect("fault ctx");
             self.service_transport(&mut ctx);
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.ingest(&mut ctx, pkt);
-            }
+            self.pull_pending(Some(&mut ctx));
             let idle_dt = self.idle_step(&ctx);
             // A rank with unacked or held packets will make progress on
             // its own (timers fire as the poll charge advances its
@@ -874,14 +882,7 @@ impl Comm {
             if let Some(pkt) = self.take_from_mailbox(src, tag) {
                 return self.accept(pkt);
             }
-            let parked = match &self.sched {
-                Some(s) if idle => {
-                    let shared = s.shared.clone();
-                    shared.parked.fetch_add(1, Ordering::SeqCst);
-                    Some(shared)
-                }
-                _ => None,
-            };
+            let parked = if idle { self.park() } else { None };
             match self.rx.recv_timeout(POLL_WALL) {
                 Ok(pkt) => {
                     if let Some(shared) = parked {
@@ -894,21 +895,7 @@ impl Comm {
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if let Some(shared) = parked {
-                        // Deadlock check while this rank still counts as
-                        // parked (see recv_sched for the rationale).
-                        let everyone_blocked = shared.parked.load(Ordering::SeqCst)
-                            + shared.retired.load(Ordering::SeqCst)
-                            >= shared.size;
-                        if everyone_blocked && shared.inflight.load(Ordering::SeqCst) <= 0 {
-                            shared.stalled.store(true, Ordering::SeqCst);
-                            shared.parked.fetch_sub(1, Ordering::SeqCst);
-                            panic_any(Stall {
-                                rank: self.rank,
-                                at: self.clock,
-                                deadlock: true,
-                            });
-                        }
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
+                        shared.unpark_after_timeout(self.rank, self.clock);
                     }
                     // Charge the idle quantum so virtual time moves and
                     // ack timeouts can expire while we sit here (jumping
@@ -928,10 +915,7 @@ impl Comm {
             self.check_liveness();
             let mut ctx = self.fault.take().expect("fault ctx");
             self.service_transport(&mut ctx);
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.ingest(&mut ctx, pkt);
-            }
+            self.pull_pending(Some(&mut ctx));
             let probe_s = ctx.cfg.probe_s;
             self.fault = Some(ctx);
             return match self.take_from_mailbox(src, tag) {
@@ -944,10 +928,7 @@ impl Comm {
                 }
             };
         }
-        while let Ok(pkt) = self.rx.try_recv() {
-            self.note_rx_pull();
-            self.mailbox.push(pkt);
-        }
+        self.pull_pending(None);
         match self.take_from_mailbox(src, tag) {
             Some(pkt) => Some(self.accept(pkt)),
             None => {
@@ -955,7 +936,7 @@ impl Comm {
                 // spin loops advance toward the liveness budget instead
                 // of livelocking at a frozen virtual time.
                 if let Some(s) = &self.sched {
-                    let probe_s = s.probe_s;
+                    let probe_s = s.plan.probe_s;
                     self.clock += probe_s;
                     self.check_sched();
                 }
@@ -978,16 +959,10 @@ impl Comm {
             self.check_liveness();
             if let Some(mut ctx) = self.fault.take() {
                 self.service_transport(&mut ctx);
-                while let Ok(pkt) = self.rx.try_recv() {
-                    self.note_rx_pull();
-                    self.ingest(&mut ctx, pkt);
-                }
+                self.pull_pending(Some(&mut ctx));
                 self.fault = Some(ctx);
             } else {
-                while let Ok(pkt) = self.rx.try_recv() {
-                    self.note_rx_pull();
-                    self.mailbox.push(pkt);
-                }
+                self.pull_pending(None);
             }
             if let Some(pkt) = self.take_from_mailbox(src, tag) {
                 return Ok(self.accept(pkt));
@@ -1013,7 +988,7 @@ impl Comm {
                         self.ingest(&mut ctx, pkt);
                         self.fault = Some(ctx);
                     } else {
-                        self.mailbox.push(pkt);
+                        self.stash(pkt);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -1054,10 +1029,7 @@ impl Comm {
             loop {
                 Self::liveness_probe(self.rank, self.clock, &ctx);
                 self.service_transport(&mut ctx);
-                while let Ok(pkt) = self.rx.try_recv() {
-                    self.note_rx_pull();
-                    self.ingest(&mut ctx, pkt);
-                }
+                self.pull_pending(Some(&mut ctx));
                 if ctx.tx[dst].unacked.len() < ctx.cfg.window {
                     break;
                 }
@@ -1197,10 +1169,7 @@ impl Comm {
         // fresh heartbeat already sitting in the queue must be able to
         // clear a suspicion before the sweep re-judges (and possibly
         // condemns on) stale liveness state.
-        while let Ok(pkt) = self.rx.try_recv() {
-            self.note_rx_pull();
-            self.ingest(ctx, pkt);
-        }
+        self.pull_pending(Some(ctx));
         self.service_health(ctx);
         for dst in 0..self.size {
             if ctx.held[dst]
@@ -1481,7 +1450,10 @@ impl Comm {
         }
         match pkt.kind {
             WireKind::Raw => self.mailbox.push(pkt),
-            WireKind::Heartbeat => {}
+            // Fault-mode ranks learn of a teardown from the abort flag at
+            // their liveness checks, where a due scheduled crash still
+            // takes precedence; the packet only cut the wait short.
+            WireKind::Heartbeat | WireKind::Abort => {}
             WireKind::Suspect { peer, alive } => self.on_vote(ctx, peer as usize, pkt.src, alive),
             WireKind::Ack { upto } => {
                 let tx = &mut ctx.tx[pkt.src];
@@ -1552,10 +1524,7 @@ impl Comm {
             self.check_liveness();
             let mut ctx = self.fault.take().expect("fault ctx");
             self.service_transport(&mut ctx);
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.ingest(&mut ctx, pkt);
-            }
+            self.pull_pending(Some(&mut ctx));
             let empty =
                 ctx.tx.iter().all(|t| t.unacked.is_empty()) && ctx.held.iter().all(Option::is_none);
             let idle_dt = self.idle_step(&ctx);
@@ -1573,14 +1542,7 @@ impl Comm {
             // A drained rank waiting out its peers counts as parked for
             // the deadlock detector: if a peer is deadlocked mid-program
             // the drain would otherwise mask the all-blocked state.
-            let parked = match &self.sched {
-                Some(s) if empty => {
-                    let shared = s.shared.clone();
-                    shared.parked.fetch_add(1, Ordering::SeqCst);
-                    Some(shared)
-                }
-                _ => None,
-            };
+            let parked = if empty { self.park() } else { None };
             match self.rx.recv_timeout(POLL_WALL) {
                 Ok(pkt) => {
                     if let Some(shared) = parked {
@@ -1600,19 +1562,7 @@ impl Comm {
                             shared.parked.fetch_sub(1, Ordering::SeqCst);
                             return;
                         }
-                        let everyone_blocked = shared.parked.load(Ordering::SeqCst)
-                            + shared.retired.load(Ordering::SeqCst)
-                            >= shared.size;
-                        if everyone_blocked && shared.inflight.load(Ordering::SeqCst) <= 0 {
-                            shared.stalled.store(true, Ordering::SeqCst);
-                            shared.parked.fetch_sub(1, Ordering::SeqCst);
-                            panic_any(Stall {
-                                rank: self.rank,
-                                at: self.clock,
-                                deadlock: true,
-                            });
-                        }
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
+                        shared.unpark_after_timeout(self.rank, self.clock);
                     }
                     self.clock += idle_dt;
                 }
@@ -1650,90 +1600,10 @@ impl Comm {
     }
 }
 
-/// Build the channel mesh for an `nranks` world.
-pub(crate) fn world_channels(nranks: usize) -> (Vec<Sender<Packet>>, Vec<Receiver<Packet>>) {
-    let mut senders = Vec::with_capacity(nranks);
-    let mut receivers = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    (senders, receivers)
-}
-
-/// Run an `nranks`-way program on `machine`. Each rank executes `f` on its
-/// own thread; the per-rank return values come back in rank order.
-///
-/// Panics in any rank propagate (the whole world is torn down).
-pub fn run_with<T, F>(machine: Machine, nranks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    assert!(nranks >= 1, "need at least one rank");
-    assert!(
-        (machine.fabric.topology().total_ports() as usize) >= nranks,
-        "machine has too few ports for {nranks} ranks"
-    );
-    let (senders, receivers) = world_channels(nranks);
-    let f = &f;
-    let mut out: Vec<Option<T>> = (0..nranks).map(|_| None).collect();
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let machine = machine.clone();
-            let senders = senders.clone();
-            let h = thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(16 << 20)
-                .spawn_scoped(scope, move || {
-                    let mut comm = Comm::construct(rank, nranks, 0.0, machine, senders, rx, None);
-                    f(&mut comm)
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(h);
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(v) => out[rank] = Some(v),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    out.into_iter().map(Option::unwrap).collect()
-}
-
-/// Run on an ideal crossbar (unit tests, algorithm development).
-pub fn run<T, F>(nranks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    run_with(Machine::ideal(nranks as u32), nranks, f)
-}
-
-/// Like [`run_with`], but every rank records a virtual-time trace; the
-/// per-rank traces come back merged into a [`WorldTrace`] alongside the
-/// program's results.
-pub fn run_observed<T, F>(machine: Machine, nranks: usize, f: F) -> (Vec<T>, WorldTrace)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let out = run_with(machine, nranks, |c| {
-        c.install_recorder();
-        let v = f(c);
-        let trace = c.take_trace().expect("recorder installed above");
-        (v, trace)
-    });
-    let (values, traces): (Vec<T>, Vec<RankTrace>) = out.into_iter().unzip();
-    (values, WorldTrace::from_ranks(traces))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, run_with};
 
     #[test]
     fn ring_pass_delivers_in_order() {

@@ -10,25 +10,22 @@
 //!   duplication / reordering at the `Comm` boundary, applies
 //!   [`netsim::LinkFault`] windows to switch ports, and crashes ranks at
 //!   scheduled virtual times;
-//! * [`run_with_faults`] runs a world under a plan: every rank gets the
-//!   reliable-delivery transport (sequence numbers, cumulative acks,
-//!   timeout/retransmit with exponential backoff — see `comm.rs`), and a
-//!   rank crash tears the world down and reports
-//!   [`WorldOutcome::Crashed`] so a harness can restore a checkpoint and
-//!   rerun.
+//! * a [`crate::World`] with `faults: Some(&plan)` runs under the plan:
+//!   every rank gets the reliable-delivery transport (sequence numbers,
+//!   cumulative acks, timeout/retransmit with exponential backoff — see
+//!   `comm.rs`), and a rank crash tears the world down and reports
+//!   [`crate::Outcome::Crashed`] so a harness can restore a checkpoint
+//!   and rerun.
 //!
-//! Fault-free worlds ([`crate::run`], [`crate::run_with`]) never touch any
-//! of this: injection is pay-for-what-you-inject.
+//! Fault-free worlds never touch any of this: injection is
+//! pay-for-what-you-inject.
 
-use crate::comm::{world_channels, Comm, Packet, Tag};
-use crate::machine::Machine;
+use crate::comm::{Packet, Tag};
 use crate::payload::AnyPayload;
 use netsim::LinkFault;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
-use std::sync::{Arc, Once};
-use std::thread;
+use std::sync::Arc;
 
 /// Seconds in the 30.44-day month used by the §2.1 monthly rates.
 pub const MONTH_S: f64 = 30.44 * 86_400.0;
@@ -210,8 +207,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (still usable with
-    /// [`run_with_faults`], e.g. as the control arm of an experiment).
+    /// A plan that injects nothing (still usable as a world's `faults`,
+    /// e.g. as the control arm of an experiment).
     pub fn none(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -342,32 +339,6 @@ impl FaultPlan {
     }
 }
 
-/// How a faulted world ended.
-#[derive(Debug)]
-pub enum WorldOutcome<T> {
-    /// Every rank ran to completion; per-rank results in rank order.
-    Completed(Vec<T>),
-    /// A rank died (scheduled crash or unreachable peer); the earliest
-    /// death is reported. Restore a checkpoint and rerun.
-    Crashed { rank: usize, at: f64 },
-}
-
-impl<T> WorldOutcome<T> {
-    /// The results of a world that must have completed.
-    pub fn expect_completed(self, msg: &str) -> Vec<T> {
-        match self {
-            WorldOutcome::Completed(v) => v,
-            WorldOutcome::Crashed { rank, at } => {
-                panic!("{msg}: world crashed (rank {rank} at t={at:.3})")
-            }
-        }
-    }
-
-    pub fn crashed(&self) -> bool {
-        matches!(self, WorldOutcome::Crashed { .. })
-    }
-}
-
 /// Panic payload of a rank hitting its scheduled crash time (or giving up
 /// on an unreachable peer).
 #[derive(Debug, Clone, Copy)]
@@ -376,41 +347,19 @@ pub struct RankCrash {
     pub at: f64,
 }
 
-/// Panic payload of a rank noticing the world's abort flag.
+/// Panic payload of a rank noticing that the world is being torn down
+/// (another rank crashed, stalled or panicked).
 #[derive(Debug, Clone, Copy)]
 pub struct WorldAborted;
 
 /// Panic payload of a rank dying *silently*: a scheduled crash with the
-/// failure detector armed. Unlike [`RankCrash`] it does not raise the
-/// world-abort flag — real dead nodes don't announce themselves, so the
-/// survivors must notice the silence through the heartbeat layer and
-/// reach a quorum verdict on their own.
+/// failure detector armed. Unlike [`RankCrash`] it neither raises the
+/// world-abort flag nor makes the runner wake the peers — real dead
+/// nodes don't announce themselves, so the survivors must notice the
+/// silence through the heartbeat layer and reach a quorum verdict on
+/// their own.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct QuietCrash {
-    pub rank: usize,
-    pub at: f64,
-}
-
-/// Keep the default panic hook from spamming stderr for the expected,
-/// caught panic payloads (crash/abort teardown and the scheduler's stall
-/// verdicts); real panics still print.
-pub(crate) fn install_quiet_hook() {
-    static QUIET: Once = Once::new();
-    QUIET.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let p = info.payload();
-            if p.downcast_ref::<RankCrash>().is_none()
-                && p.downcast_ref::<WorldAborted>().is_none()
-                && p.downcast_ref::<QuietCrash>().is_none()
-                && p.downcast_ref::<crate::sched::Stall>().is_none()
-                && p.downcast_ref::<crate::sched::StallAbort>().is_none()
-            {
-                prev(info);
-            }
-        }));
-    });
-}
+pub(crate) struct QuietCrash(pub RankCrash);
 
 /// splitmix64: small, seedable, and good enough for injection draws.
 pub(crate) struct SplitMix64(u64);
@@ -585,185 +534,11 @@ impl FaultCtx {
     }
 }
 
-enum RankEnd<T> {
-    Done(T),
-    Crash(RankCrash),
-    Aborted,
-    Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// Run an `nranks`-way program under `plan`, with every rank's virtual
-/// clock starting at `clock0` (so a restart attempt continues the absolute
-/// cluster timeline and crash events stay comparable across attempts —
-/// events at or before `clock0` are treated as already spent).
-///
-/// All messaging goes through the reliable transport; scheduled crashes
-/// (and senders exhausting their retries against a dead peer) tear the
-/// world down and report [`WorldOutcome::Crashed`] with the earliest death.
-/// Genuine panics (assertion failures) still propagate.
-pub fn run_with_faults<T, F>(
-    machine: Machine,
-    nranks: usize,
-    plan: &FaultPlan,
-    clock0: f64,
-    f: F,
-) -> WorldOutcome<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    assert!(nranks >= 1, "need at least one rank");
-    assert!(
-        (machine.fabric.topology().total_ports() as usize) >= nranks,
-        "machine has too few ports for {nranks} ranks"
-    );
-    install_quiet_hook();
-    // The fabric is shared (Arc) and may be reused across restart
-    // attempts; make the fault set exactly the plan's, not accumulated.
-    machine.fabric.clear_link_faults();
-    for lf in &plan.link_faults {
-        machine.fabric.inject_link_fault(*lf);
-    }
-    let abort = Arc::new(AtomicBool::new(false));
-    let drained = Arc::new(AtomicUsize::new(0));
-    let (senders, receivers) = world_channels(nranks);
-    let f = &f;
-    let mut ends: Vec<Option<RankEnd<T>>> = (0..nranks).map(|_| None).collect();
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let machine = machine.clone();
-            let senders = senders.clone();
-            let abort = abort.clone();
-            let drained = drained.clone();
-            let h = thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(16 << 20)
-                .spawn_scoped(scope, move || {
-                    let ctx = FaultCtx::new(plan, rank, nranks, clock0, abort.clone(), drained);
-                    let mut comm = Comm::construct(
-                        rank,
-                        nranks,
-                        clock0,
-                        machine,
-                        senders,
-                        rx,
-                        Some(Box::new(ctx)),
-                    );
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        let v = f(&mut comm);
-                        // A rank may still owe its peers retransmissions
-                        // of packets the injector ate; stay at the NIC
-                        // until the whole world's unacked queues drain.
-                        comm.drain_transport();
-                        v
-                    })) {
-                        Ok(v) => RankEnd::Done(v),
-                        Err(p) => {
-                            if let Some(c) = p.downcast_ref::<QuietCrash>() {
-                                // Silent death: the world keeps running —
-                                // the failure detector on the surviving
-                                // ranks must notice and raise the abort
-                                // itself (via a quorum verdict).
-                                RankEnd::Crash(RankCrash {
-                                    rank: c.rank,
-                                    at: c.at,
-                                })
-                            } else {
-                                abort.store(true, std::sync::atomic::Ordering::SeqCst);
-                                if let Some(c) = p.downcast_ref::<RankCrash>() {
-                                    RankEnd::Crash(*c)
-                                } else if p.downcast_ref::<WorldAborted>().is_some() {
-                                    RankEnd::Aborted
-                                } else {
-                                    RankEnd::Panic(p)
-                                }
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(h);
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(end) => ends[rank] = Some(end),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    let mut crash: Option<RankCrash> = None;
-    let mut results = Vec::with_capacity(nranks);
-    for end in &ends {
-        match end.as_ref().expect("rank end recorded") {
-            RankEnd::Crash(c) => {
-                if crash.is_none_or(|b| c.at < b.at) {
-                    crash = Some(*c);
-                }
-            }
-            _ => continue,
-        }
-    }
-    for end in ends {
-        match end.expect("rank end recorded") {
-            RankEnd::Done(v) => results.push(v),
-            RankEnd::Panic(p) => std::panic::resume_unwind(p),
-            RankEnd::Crash(_) | RankEnd::Aborted => {}
-        }
-    }
-    match crash {
-        Some(c) => WorldOutcome::Crashed {
-            rank: c.rank,
-            at: c.at,
-        },
-        None => {
-            assert_eq!(results.len(), nranks, "aborted world without a crash");
-            WorldOutcome::Completed(results)
-        }
-    }
-}
-
-/// Like [`run_with_faults`], but every rank records a virtual-time trace.
-///
-/// Traces are finalized when the program function returns, *before* the
-/// post-program transport drain — the drain's virtual cost depends on how
-/// many real-time polls each rank spins through, which would poison the
-/// trace's determinism. Crashed worlds return no trace: a surviving
-/// rank's timeline ends wherever it happened to observe the abort flag,
-/// which is a wall-clock race, not a virtual-time fact.
-pub fn run_with_faults_observed<T, F>(
-    machine: Machine,
-    nranks: usize,
-    plan: &FaultPlan,
-    clock0: f64,
-    f: F,
-) -> (WorldOutcome<T>, Option<obs::WorldTrace>)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let out = run_with_faults(machine, nranks, plan, clock0, |c| {
-        c.install_recorder();
-        let v = f(c);
-        let trace = c.take_trace().expect("recorder installed above");
-        (v, trace)
-    });
-    match out {
-        WorldOutcome::Completed(pairs) => {
-            let (values, traces): (Vec<T>, Vec<obs::RankTrace>) = pairs.into_iter().unzip();
-            (
-                WorldOutcome::Completed(values),
-                Some(obs::WorldTrace::from_ranks(traces)),
-            )
-        }
-        WorldOutcome::Crashed { rank, at } => (WorldOutcome::Crashed { rank, at }, None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abm::{Abm, Termination};
+    use crate::{Comm, Machine, Outcome, SchedPlan, World};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -776,12 +551,27 @@ mod tests {
             .unwrap_or(42)
     }
 
+    /// Run `f` on an ideal `n`-rank machine under `plan`, every clock
+    /// starting at `clock0`.
+    fn run_faulted<T, F>(n: usize, plan: &FaultPlan, clock0: f64, f: F) -> Outcome<T>
+    where
+        T: Send,
+        F: Fn(&mut Comm) -> T + Sync,
+    {
+        let world = World {
+            clock0,
+            faults: Some(plan),
+            ..World::new(Machine::ideal(n as u32), n)
+        };
+        world.run(f).0
+    }
+
     /// Every rank scatters `per_rank` uniquely-numbered messages through
     /// an Abm channel, runs Safra termination, and returns what it got.
     /// The union of receipts must be exactly the union of sends — once
     /// each — no matter what the transport injected.
     fn storm_exactly_once(nranks: usize, per_rank: u64, plan: &FaultPlan) {
-        let out = run_with_faults(Machine::ideal(nranks as u32), nranks, plan, 0.0, |c| {
+        let out = run_faulted(nranks, plan, 0.0, |c| {
             let mut rng = SmallRng::seed_from_u64(1000 + c.rank() as u64);
             let mut abm: Abm<u64> = Abm::new(c.size(), 3, 4);
             let mut term = Termination::new();
@@ -829,7 +619,7 @@ mod tests {
     fn zero_fault_plan_delivers_and_injects_nothing() {
         let plan = FaultPlan::none(chaos_seed());
         assert!(plan.is_trivial());
-        let vals = run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
+        let vals = run_faulted(4, &plan, 0.0, |c| {
             let right = (c.rank() + 1) % c.size();
             c.send(right, 1, c.rank() as u64);
             let (_, v) = c.recv::<u64>(None, 1);
@@ -844,7 +634,7 @@ mod tests {
     #[test]
     fn clock0_offsets_the_virtual_timeline() {
         let plan = FaultPlan::none(7);
-        let times = run_with_faults(Machine::ideal(2), 2, &plan, 100.0, |c| {
+        let times = run_faulted(2, &plan, 100.0, |c| {
             c.compute(1e8, 0.0);
             c.time()
         })
@@ -855,7 +645,7 @@ mod tests {
     #[test]
     fn lossy_ring_recovers_via_retransmit() {
         let plan = FaultPlan::none(chaos_seed()).with_drop(0.4);
-        let out = run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
+        let out = run_faulted(4, &plan, 0.0, |c| {
             let right = (c.rank() + 1) % c.size();
             // Enough traffic that some of it is certain to be dropped.
             for i in 0..50u64 {
@@ -894,7 +684,7 @@ mod tests {
         let plan = FaultPlan::none(3)
             .with_link_fault(LinkFault::dead(1, 0.0, 100.0))
             .with_retransmit(slow);
-        let out = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
+        let out = run_faulted(2, &plan, 0.0, |c| {
             if c.rank() == 0 {
                 c.send(1, 4, 99u64);
                 let (_, echo) = c.recv::<u64>(Some(1), 4);
@@ -923,7 +713,7 @@ mod tests {
         let plan = FaultPlan::none(chaos_seed())
             .with_corrupt(0.2)
             .with_duplicate(0.3);
-        let out = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
+        let out = run_faulted(2, &plan, 0.0, |c| {
             let peer = 1 - c.rank();
             for i in 0..60u64 {
                 c.send(peer, 5, i);
@@ -944,7 +734,7 @@ mod tests {
     #[test]
     fn scheduled_crash_is_reported_with_rank_and_time() {
         let plan = FaultPlan::none(1).with_crash(1, 0.5);
-        let out: WorldOutcome<u64> = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
+        let out: Outcome<u64> = run_faulted(2, &plan, 0.0, |c| {
             // Ping-pong forever; rank 1 dies at t=0.5 and rank 0 must
             // notice (abort flag) instead of hanging.
             let peer = 1 - c.rank();
@@ -961,11 +751,11 @@ mod tests {
             }
         });
         match out {
-            WorldOutcome::Crashed { rank, at } => {
+            Outcome::Crashed { rank, at } => {
                 assert_eq!(rank, 1);
                 assert!(at >= 0.5, "crash at {at}");
             }
-            WorldOutcome::Completed(_) => panic!("world must crash"),
+            other => panic!("world must crash, got {other:?}"),
         }
     }
 
@@ -974,7 +764,7 @@ mod tests {
         // Restart semantics: an event at t=0.5 must not re-fire in an
         // attempt starting at clock0=1.0.
         let plan = FaultPlan::none(1).with_crash(1, 0.5);
-        let vals = run_with_faults(Machine::ideal(2), 2, &plan, 1.0, |c| c.rank() as u64)
+        let vals = run_faulted(2, &plan, 1.0, |c| c.rank() as u64)
             .expect_completed("crash already in the past");
         assert_eq!(vals, vec![0, 1]);
     }
@@ -984,7 +774,7 @@ mod tests {
         // Port 1's link is dead for the first 20 ms of virtual time; the
         // transport must carry the ring through it via retransmits.
         let plan = FaultPlan::none(chaos_seed()).with_link_fault(LinkFault::dead(1, 0.0, 2.0e-2));
-        let out = run_with_faults(Machine::ideal(3), 3, &plan, 0.0, |c| {
+        let out = run_faulted(3, &plan, 0.0, |c| {
             let right = (c.rank() + 1) % c.size();
             c.send(right, 1, c.rank() as u64);
             let (_, v) = c.recv::<u64>(None, 1);
@@ -1059,7 +849,7 @@ mod tests {
         let plan = FaultPlan::none(9)
             .with_link_fault(LinkFault::dead(1, 0.0, 5.0e-2))
             .with_retransmit(cfg);
-        let out = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
+        let out = run_faulted(2, &plan, 0.0, |c| {
             if c.rank() == 0 {
                 for i in 0..n {
                     c.send(1, 7, i);
@@ -1109,31 +899,44 @@ mod tests {
         // With the detector armed the scheduled crash is silent: no
         // abort flag. The three survivors must each notice the silence,
         // exchange suspicion votes, and condemn the dead rank — naming
-        // *it* (not themselves) in the crash report.
+        // *it* (not themselves) in the crash report. A delivery schedule
+        // on top must not change that: the silent death still waits for
+        // the survivors' verdict and is reported as a crash.
         let plan = FaultPlan::none(5)
             .with_crash(2, 2.0e-2)
             .with_heartbeat(HeartbeatConfig::default());
-        let out: WorldOutcome<u64> = run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
-            let mut n = 0u64;
-            loop {
-                for p in 0..c.size() {
-                    if p != c.rank() {
-                        c.send(p, 3, n);
+        let reference = SchedPlan::reference(1);
+        for sched in [None, Some((&reference, None))] {
+            let world = World {
+                faults: Some(&plan),
+                sched,
+                ..World::new(Machine::ideal(4), 4)
+            };
+            let (out, _, _) = world.run(|c| {
+                let mut n = 0u64;
+                loop {
+                    for p in 0..c.size() {
+                        if p != c.rank() {
+                            c.send(p, 3, n);
+                        }
                     }
+                    for _ in 0..c.size() - 1 {
+                        let _ = c.recv::<u64>(None, 3);
+                    }
+                    n += 1;
+                    c.compute(1e6, 0.0);
                 }
-                for _ in 0..c.size() - 1 {
-                    let _ = c.recv::<u64>(None, 3);
+            });
+            match out {
+                Outcome::<()>::Crashed { rank, at } => {
+                    assert_eq!(rank, 2, "the verdict must name the dead rank");
+                    assert!(at >= 2.0e-2, "detected at t={at}");
                 }
-                n += 1;
-                c.compute(1e6, 0.0);
+                other => panic!(
+                    "world must crash (scheduled: {}), got {other:?}",
+                    sched.is_some()
+                ),
             }
-        });
-        match out {
-            WorldOutcome::Crashed { rank, at } => {
-                assert_eq!(rank, 2, "the verdict must name the dead rank");
-                assert!(at >= 2.0e-2, "detected at t={at}");
-            }
-            WorldOutcome::Completed(_) => panic!("world must crash"),
         }
     }
 
@@ -1142,9 +945,9 @@ mod tests {
     /// more exchange. The straggler's clock jump makes it (briefly,
     /// spuriously) suspect everyone — its `last_seen` stamps are stale
     /// while its own clock leapt ahead.
-    fn straggler_world(seed: u64, hb: HeartbeatConfig) -> WorldOutcome<(u64, crate::FaultStats)> {
+    fn straggler_world(seed: u64, hb: HeartbeatConfig) -> Outcome<(u64, crate::FaultStats)> {
         let plan = FaultPlan::none(seed).with_heartbeat(hb);
-        run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
+        run_faulted(4, &plan, 0.0, |c| {
             for round in 0..3u64 {
                 for p in 0..c.size() {
                     if p != c.rank() {
@@ -1204,7 +1007,7 @@ mod tests {
         };
         let mut caught = None;
         for seed in 0..8u64 {
-            if let WorldOutcome::Crashed { rank, at } = straggler_world(seed, mutant) {
+            if let Outcome::Crashed { rank, at } = straggler_world(seed, mutant) {
                 caught = Some((seed, rank, at));
                 break;
             }

@@ -201,7 +201,7 @@ impl Group {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::run;
+    use crate::run;
 
     #[test]
     fn split_into_even_and_odd() {

@@ -19,7 +19,15 @@
 //! time causally consistent for deterministic programs.
 //!
 //! Modules:
-//! * [`comm`] — the world, ranks, point-to-point send/recv;
+//! * [`world`] — the one runner: a [`World`] (machine, ranks, and the
+//!   optional fault plan, delivery schedule and tracing it runs under)
+//!   and its [`Outcome`], plus the fault-free shorthands [`run`],
+//!   [`run_with`] and [`run_observed`];
+//! * [`comm`] — ranks and point-to-point send/recv;
+//! * [`fault`] — fault plans, the reliable transport's tuning and the
+//!   failure detector;
+//! * [`sched`] — adversarial delivery schedules, liveness watchdogs and
+//!   replayable decision logs;
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, gather,
 //!   allgather, alltoallv, scan;
 //! * [`abm`] — "asynchronous batched messages": the paper's §4.2 paradigm
@@ -41,18 +49,13 @@ pub mod machine;
 pub mod payload;
 pub mod sched;
 pub mod sort;
+pub mod world;
 
 pub use abm::{Abm, Termination};
-pub use comm::{run, run_observed, run_with, Comm, CommStats, FaultStats, MailboxTimeout, Tag};
-pub use fault::{
-    run_with_faults, run_with_faults_observed, CrashEvent, FaultPlan, HeartbeatConfig,
-    RetransmitConfig, WorldOutcome,
-};
+pub use comm::{Comm, CommStats, FaultStats, MailboxTimeout, Tag};
+pub use fault::{CrashEvent, FaultPlan, HeartbeatConfig, RetransmitConfig};
 pub use group::Group;
 pub use machine::Machine;
 pub use payload::Payload;
-pub use sched::{
-    replay_with_faults_and_schedule_observed, replay_with_schedule_observed,
-    run_with_faults_and_schedule, run_with_faults_and_schedule_observed, run_with_schedule,
-    run_with_schedule_observed, SchedOutcome, SchedPlan, ScheduleLog,
-};
+pub use sched::{SchedPlan, ScheduleLog};
+pub use world::{run, run_observed, run_with, Outcome, World};

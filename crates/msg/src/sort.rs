@@ -164,7 +164,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::run;
+    use crate::run;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

@@ -15,8 +15,8 @@
 
 use crate::profiles::LibraryProfile;
 use crate::switch::{Resource, SwitchFabric};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Result of scheduling one message through the fabric.
 ///
@@ -164,20 +164,29 @@ impl Fabric {
         self.topology.link_class(src, dst)
     }
 
+    /// The contention state. Every update made under the lock is a counter
+    /// bump, a busy-until write or a fault-list edit, each leaving the
+    /// state valid, so a rank thread that unwinds while holding it (world
+    /// teardown unwinds ranks) poisons nothing: the flag is cleared rather
+    /// than taking every rank sharing the fabric down.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Install a port fault. Takes effect for transfers departing inside
     /// the fault's window.
     pub fn inject_link_fault(&self, fault: LinkFault) {
-        self.state.lock().faults.push(fault);
+        self.state().faults.push(fault);
     }
 
     /// Remove every installed fault (e.g. between chaos experiments).
     pub fn clear_link_faults(&self) {
-        self.state.lock().faults.clear();
+        self.state().faults.clear();
     }
 
     /// Currently installed faults (for reports).
     pub fn link_faults(&self) -> Vec<LinkFault> {
-        self.state.lock().faults.clone()
+        self.state().faults.clone()
     }
 
     /// Schedule an `bytes`-byte message from `src` to `dst` departing at
@@ -197,7 +206,7 @@ impl Fabric {
         }
         let route = self.topology.route(src, dst);
         let mut wire = self.profile.transfer_time(bytes);
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if !st.faults.is_empty() {
             // Slowest active fault on either endpoint port governs.
             let mut factor = 1.0f64;
@@ -258,15 +267,14 @@ impl Fabric {
     }
 
     pub fn stats(&self) -> FabricStats {
-        self.state.lock().stats
+        self.state().stats
     }
 
     /// Per-resource traffic accounting since the last [`Fabric::reset`],
     /// in stable (uplinks by index, then trunk) order.
     pub fn resource_stats(&self) -> Vec<(Resource, ResourceStats)> {
         let mut v: Vec<_> = self
-            .state
-            .lock()
+            .state()
             .resource
             .iter()
             .map(|(&r, &s)| (r, s))
@@ -301,7 +309,7 @@ impl Fabric {
 
     /// Reset contention state and statistics (e.g. between experiments).
     pub fn reset(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.busy_until.clear();
         st.resource.clear();
         st.stats = FabricStats::default();

@@ -11,11 +11,9 @@
 //!   16 simultaneous streams — we use the measured figure);
 //! * ports on different switches: additionally the 8 Gbit/s fiber trunk.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a shared fabric resource that messages serialize on.
 /// `Ord` gives reports and metric exports a stable resource order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
     /// Uplink from a module to the switch backplane. Indexed globally.
     ModuleUplink(u32),
@@ -24,7 +22,7 @@ pub enum Resource {
 }
 
 /// Static description of one switch chassis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchSpec {
     /// Ports per line-card module (16 for the FastIron).
     pub ports_per_module: u32,
@@ -42,7 +40,7 @@ impl SwitchSpec {
 }
 
 /// The full fabric: an ordered list of chassis joined by a trunk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchFabric {
     pub switches: Vec<SwitchSpec>,
     /// Capacity of the trunk joining consecutive chassis, bytes/second.

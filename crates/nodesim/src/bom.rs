@@ -11,10 +11,8 @@
 //! * the Loki comparison (1996): $51,379, $3,211/node, and the
 //!   Moore's-law-beating component-price ratios of §5.
 
-use serde::{Deserialize, Serialize};
-
 /// One line item of a bill of materials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BomItem {
     /// Quantity; 0 means a lump-sum line (cables, shelving...).
     pub qty: u32,
@@ -36,7 +34,7 @@ impl BomItem {
 }
 
 /// A machine's bill of materials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bom {
     pub label: &'static str,
     pub year: u32,

@@ -21,15 +21,13 @@
 //! at ~34 cycles (its documented latency is 38) while the Alpha EV56,
 //! which does sqrt in software, comes out at ~204 cycles.
 
-use serde::{Deserialize, Serialize};
-
 /// Flops of the 38-flop interaction attributed to the reciprocal sqrt.
 pub const RSQRT_FLOPS: f64 = 10.0;
 /// Total flops charged per particle-particle interaction.
 pub const INTERACTION_FLOPS: f64 = 38.0;
 
 /// Micro-architectural model of one processor for the gravity kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuKernelModel {
     pub name: &'static str,
     pub clock_mhz: f64,

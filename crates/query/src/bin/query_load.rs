@@ -35,7 +35,7 @@ fn main() {
     };
     let ics = hot::models::plummer(bodies, seed);
 
-    let outs = msg::comm::run_with(Machine::space_simulator_lam(), ranks, {
+    let outs = msg::run_with(Machine::space_simulator_lam(), ranks, {
         let ics = ics.clone();
         let cfg = cfg;
         move |comm| run(comm, ics.clone(), &cfg)

@@ -587,7 +587,7 @@ mod tests {
         for ranks in [1usize, 2, 4] {
             let cfg = small_cfg();
             let ics = plummer(64, 7);
-            let outs = msg::comm::run_with(Machine::ideal(ranks as u32 + 2), ranks, {
+            let outs = msg::run_with(Machine::ideal(ranks as u32 + 2), ranks, {
                 let ics = ics.clone();
                 move |comm| run(comm, ics.clone(), &cfg)
             });
@@ -606,7 +606,7 @@ mod tests {
         let cfg = small_cfg();
         let ics = plummer(48, 3);
         let states = replicated_states(ics.clone(), &cfg);
-        let outs = msg::comm::run_with(Machine::ideal(3), 1, {
+        let outs = msg::run_with(Machine::ideal(3), 1, {
             let ics = ics.clone();
             move |comm| run(comm, ics.clone(), &cfg)
         });

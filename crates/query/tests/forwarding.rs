@@ -31,10 +31,9 @@ fn stale_routed_point_queries_are_forwarded_not_dropped() {
     let ranks = 8usize;
     let cfg = migration_heavy_cfg();
     let ics = plummer(256, 41);
-    let (outs, trace) =
-        msg::comm::run_observed(Machine::ideal(ranks as u32 + 2), ranks, move |comm| {
-            run(comm, ics.clone(), &cfg)
-        });
+    let (outs, trace) = msg::run_observed(Machine::ideal(ranks as u32 + 2), ranks, move |comm| {
+        run(comm, ics.clone(), &cfg)
+    });
 
     let forwarded: u64 = outs.iter().map(|o| o.stats.forwarded).sum();
     assert!(
@@ -81,7 +80,7 @@ fn forward_count_is_deterministic() {
     let cfg = migration_heavy_cfg();
     let count = |seed: u64| -> Vec<u64> {
         let ics = plummer(256, seed);
-        msg::comm::run_with(Machine::ideal(ranks as u32 + 2), ranks, move |comm| {
+        msg::run_with(Machine::ideal(ranks as u32 + 2), ranks, move |comm| {
             run(comm, ics.clone(), &cfg)
         })
         .iter()

@@ -30,7 +30,7 @@ fn cfg(per_rank: u64) -> EngineConfig {
 fn run_engine(ranks: usize, ics: &[Body], cfg: &EngineConfig) -> Vec<EngineOutput> {
     let ics = ics.to_vec();
     let cfg = *cfg;
-    msg::comm::run_with(Machine::ideal(ranks as u32 + 2), ranks, move |comm| {
+    msg::run_with(Machine::ideal(ranks as u32 + 2), ranks, move |comm| {
         run(comm, ics.clone(), &cfg)
     })
 }
